@@ -75,56 +75,34 @@ bench-rollup:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_rollup_path.py \
 		--benchmark-disable
 
-# Record the ingest/storage microbenchmark baseline as pytest-benchmark
-# JSON.  BENCH_ingest.json is committed so regressions in the batched
-# ingest path show up as a diff against the recorded numbers; raw
-# per-round samples are stripped to keep the committed file small.
-# BENCH_query.json does the same for the query path (segment pruning,
-# cluster query_many, parallel subtree scan, batched virtual sensors),
-# BENCH_transport.json for the event-loop fan-in throughput,
-# BENCH_rollup.json for the tier-served dashboard-burst p99,
-# BENCH_durability.json for the durable-ingest overhead, the
-# facility-data compression ratio and the cold-window pruning speedup,
-# and BENCH_rebalance.json for the live-rebalance moved-volume and
-# mid-rebalance ingest overheads.
+# Record the microbenchmark baselines as pytest-benchmark JSON, one
+# committed BENCH_<suite>.json per suite, so regressions show up as a
+# diff against the recorded numbers; raw per-round samples are stripped
+# to keep the committed files small.  The suites: ingest (batched
+# ingest path), query (segment pruning, cluster query_many, parallel
+# subtree scan, batched virtual sensors), transport (event-loop fan-in
+# throughput), rollup (tier-served dashboard-burst p99), durability
+# (durable-ingest overhead, facility-data compression ratio, cold-
+# window pruning speedup, seal encode) and rebalance (live-rebalance
+# moved volume and mid-rebalance ingest overhead).  Refresh a subset
+# with e.g. `make bench-baseline BENCH_SUITES=durability`.
+BENCH_SUITES ?= ingest query transport rollup durability rebalance
+BENCH_FILES_ingest = benchmarks/test_microbench_components.py \
+	benchmarks/test_microbench_backends.py
+BENCH_FILES_query = benchmarks/test_query_path.py
+BENCH_FILES_transport = benchmarks/test_transport.py
+BENCH_FILES_rollup = benchmarks/test_rollup_path.py
+BENCH_FILES_durability = benchmarks/test_durability.py
+BENCH_FILES_rebalance = benchmarks/test_rebalance.py
+STRIP_SAMPLES = import json, sys; p = sys.argv[1]; d = json.load(open(p)); \
+	[b['stats'].pop('data', None) for b in d['benchmarks']]; \
+	json.dump(d, open(p, 'w'), indent=1, sort_keys=True)
+
 bench-baseline:
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_microbench_components.py \
-		benchmarks/test_microbench_backends.py \
-		--benchmark-only --benchmark-json=BENCH_ingest.json
-	$(PYTHON) -c "import json; d = json.load(open('BENCH_ingest.json')); \
-		[b['stats'].pop('data', None) for b in d['benchmarks']]; \
-		json.dump(d, open('BENCH_ingest.json', 'w'), indent=1, sort_keys=True)"
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_query_path.py \
-		--benchmark-only --benchmark-json=BENCH_query.json
-	$(PYTHON) -c "import json; d = json.load(open('BENCH_query.json')); \
-		[b['stats'].pop('data', None) for b in d['benchmarks']]; \
-		json.dump(d, open('BENCH_query.json', 'w'), indent=1, sort_keys=True)"
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_transport.py \
-		--benchmark-only --benchmark-json=BENCH_transport.json
-	$(PYTHON) -c "import json; d = json.load(open('BENCH_transport.json')); \
-		[b['stats'].pop('data', None) for b in d['benchmarks']]; \
-		json.dump(d, open('BENCH_transport.json', 'w'), indent=1, sort_keys=True)"
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_rollup_path.py \
-		--benchmark-only --benchmark-json=BENCH_rollup.json
-	$(PYTHON) -c "import json; d = json.load(open('BENCH_rollup.json')); \
-		[b['stats'].pop('data', None) for b in d['benchmarks']]; \
-		json.dump(d, open('BENCH_rollup.json', 'w'), indent=1, sort_keys=True)"
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_durability.py \
-		--benchmark-only --benchmark-json=BENCH_durability.json
-	$(PYTHON) -c "import json; d = json.load(open('BENCH_durability.json')); \
-		[b['stats'].pop('data', None) for b in d['benchmarks']]; \
-		json.dump(d, open('BENCH_durability.json', 'w'), indent=1, sort_keys=True)"
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/test_rebalance.py \
-		--benchmark-only --benchmark-json=BENCH_rebalance.json
-	$(PYTHON) -c "import json; d = json.load(open('BENCH_rebalance.json')); \
-		[b['stats'].pop('data', None) for b in d['benchmarks']]; \
-		json.dump(d, open('BENCH_rebalance.json', 'w'), indent=1, sort_keys=True)"
+	set -e; $(foreach suite,$(BENCH_SUITES), \
+		PYTHONPATH=src $(PYTHON) -m pytest $(BENCH_FILES_$(suite)) \
+			--benchmark-only --benchmark-json=BENCH_$(suite).json; \
+		$(PYTHON) -c "$(STRIP_SAMPLES)" BENCH_$(suite).json;)
 
 # Single-round smoke over the durability benchmarks: the compression-
 # ratio floor and the bounded-memory block-cache scan are asserted in

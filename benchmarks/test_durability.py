@@ -18,6 +18,11 @@ Committed gates:
 * **Bounded-memory scan** — sweeping a store larger than the block
   cache budget must hold decoded residency at or under the budget
   (assertion, not timing; runs in every mode).
+* **Seal encode** — one end-to-end-shaped memtable seal (5,000
+  sensors x 20 facility rows, the ``ingest_durable_tcp`` seal of one
+  node) through ``write_segment``, whose codecs run once over the whole
+  file; it must beat encoding the same blocks sensor by sensor by at
+  least 5x when timing is armed.
 """
 
 import itertools
@@ -28,7 +33,13 @@ import numpy as np
 import pytest
 
 from repro.core.sid import SensorId
-from repro.storage.durable import DurableBackend, DurableNode
+from repro.storage.durable import (
+    DurableBackend,
+    DurableNode,
+    encode_timestamps,
+    encode_values,
+    write_segment,
+)
 from repro.storage.memory import MemoryBackend
 
 SIDS = [SensorId.from_codes([1, i]) for i in range(1, 51)]
@@ -75,6 +86,38 @@ def facility_batch(seed=4242, sensors_temp=64, sensors_power=16, rows=1000):
                 v = rng.choice([100_000, 150_000, 200_000])
             items.append((sid, t * NS_PER_SEC, v, 0))
     return items
+
+
+SEAL_SENSORS = 5_000
+SEAL_ROWS = 20
+POWER_LEVELS = np.array([100_000, 150_000, 200_000], dtype=np.int64)
+
+
+def seal_sensors(seed=4242):
+    """One memtable seal of the end-to-end durable workload, as
+    ``write_segment`` input: 5,000 sensors x 20 rows at 1 Hz, 80 %
+    temperatures drifting a few milli-degrees per sample and 20 % power
+    caps holding a setpoint that steps with probability 0.01 a sample."""
+    rng = np.random.default_rng(seed)
+    n_temp = SEAL_SENSORS * 4 // 5
+    n_power = SEAL_SENSORS - n_temp
+    temps = rng.integers(40_000, 60_000, (n_temp, 1)) + np.cumsum(
+        rng.integers(-3, 4, (n_temp, SEAL_ROWS)), axis=1
+    )
+    power = np.empty((n_power, SEAL_ROWS), dtype=np.int64)
+    level = rng.choice(POWER_LEVELS, n_power)
+    for row in range(SEAL_ROWS):
+        step = rng.random(n_power) < 0.01
+        level = np.where(step, rng.choice(POWER_LEVELS, n_power), level)
+        power[:, row] = level
+    values = np.concatenate((temps, power))
+    ts = 1_700_000_000 * NS_PER_SEC + np.arange(SEAL_ROWS, dtype=np.int64) * NS_PER_SEC
+    never = np.full(SEAL_ROWS, (1 << 63) - 1, dtype=np.int64)
+    sensors = [
+        (SensorId.from_codes([4, s // 1000 + 1, s % 1000 + 1]), ts, values[s], never)
+        for s in range(SEAL_SENSORS)
+    ]
+    return sorted(sensors, key=lambda item: item[0])
 
 
 class TestDurableIngest:
@@ -144,6 +187,38 @@ class TestCompressionRatio:
         benchmark.extra_info["compression_ratio"] = round(ratio, 2)
         benchmark.extra_info["min_ratio_gate"] = MIN_RATIO
         benchmark.extra_info["rows"] = len(items)
+
+
+class TestSealEncode:
+    def test_seal_5000x20_facility(self, benchmark, tmp_path):
+        """The seal that stalls the end-to-end durable writer flush.
+        Gate: >= 5x over per-sensor encodes when timing is armed."""
+        sensors = seal_sensors()
+        path = tmp_path / "seal.seg"
+
+        def seal():
+            return write_segment(path, sensors).rows
+
+        assert benchmark(seal) == SEAL_SENSORS * SEAL_ROWS
+        if benchmark.enabled:
+
+            def per_sensor():
+                for _, ts, vals, exp in sensors:
+                    encode_timestamps(ts)
+                    encode_values(vals)
+                    encode_timestamps(exp)
+
+            per_sensor_seconds = _best_of(2, per_sensor)
+            seal_seconds = benchmark.stats.stats.min
+            speedup = per_sensor_seconds / seal_seconds
+            print(
+                f"\nseal 5000x20: {seal_seconds * 1e3:.1f} ms vs per-sensor "
+                f"encodes {per_sensor_seconds * 1e3:.1f} ms ({speedup:.1f}x)"
+            )
+            assert speedup >= 5.0, (
+                f"segmented seal only {speedup:.1f}x over per-sensor encodes (gate: 5x)"
+            )
+            benchmark.extra_info["seal_encode_speedup_x"] = round(speedup, 2)
 
 
 COLD_SID = SensorId.from_codes([5, 1])

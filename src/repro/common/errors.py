@@ -58,6 +58,15 @@ class BackpressureError(StorageError):
     """
 
 
+class WriterStoppedError(BackpressureError):
+    """Raised by the batching writer's ``put`` once it has been stopped.
+
+    A subclass so producers that shed on :class:`BackpressureError`
+    keep working, while the agent can count "the writer is gone"
+    separately from "the staging queue is full".
+    """
+
+
 class QueryError(DCDBError):
     """Raised by libDCDB for invalid queries (unknown sensors, bad
     time ranges, malformed virtual-sensor expressions)."""

@@ -23,7 +23,12 @@ import logging
 import threading
 import time
 
-from repro.common.errors import BackpressureError, StorageError, TransportError
+from repro.common.errors import (
+    BackpressureError,
+    StorageError,
+    TransportError,
+    WriterStoppedError,
+)
 from repro.common.timeutil import NS_PER_SEC, now_ns
 from repro.core import payload as payload_mod
 from repro.core.collectagent.writer import BatchingWriter, WriterConfig
@@ -37,6 +42,34 @@ from repro.storage.backend import StorageBackend
 from repro.storage.rollup import RollupConfig, RollupEngine
 
 logger = logging.getLogger(__name__)
+
+
+class _ThrottledWarning:
+    """A warning logged at most once per :attr:`INTERVAL_S` seconds.
+
+    Calls in between are counted, and the next line that is logged
+    reports how many were suppressed.
+    """
+
+    INTERVAL_S = 10.0
+
+    def __init__(self) -> None:
+        self._next = float("-inf")
+        self._suppressed = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, message: str, *args) -> None:
+        with self._lock:
+            now = time.monotonic()
+            if now < self._next:
+                self._suppressed += 1
+                return
+            suppressed, self._suppressed = self._suppressed, 0
+            self._next = now + self.INTERVAL_S
+        if suppressed:
+            logger.warning(message + " (%d similar suppressed)", *args, suppressed)
+        else:
+            logger.warning(message, *args)
 
 
 class CollectAgent:
@@ -163,6 +196,11 @@ class CollectAgent:
             "dcdb_agent_backpressure_drops_total",
             "Readings rejected because the staging queue was full (error policy)",
         )
+        self._writer_stopped_drops = self.metrics.counter(
+            "dcdb_agent_writer_stopped_drops_total",
+            "Readings rejected because the batching writer was stopped",
+        )
+        self._writer_stopped_log = _ThrottledWarning()
         self._store_errors = self.metrics.counter(
             "dcdb_agent_store_errors_total",
             "Readings the storage backend refused on the synchronous path",
@@ -265,6 +303,10 @@ class CollectAgent:
             # measures real durability latency rather than enqueue time.
             try:
                 self.writer.put(items, origin if traced else None, trace_id=trace_id)
+            except WriterStoppedError as exc:
+                self._writer_stopped_drops.inc(len(items))
+                self._writer_stopped_log("dropped readings on %s: %s", packet.topic, exc)
+                return
             except BackpressureError as exc:
                 self._backpressure_drops.inc(len(items))
                 logger.warning("backpressure on %s: %s", packet.topic, exc)
@@ -332,9 +374,7 @@ class CollectAgent:
                     commit_ns,
                     backend=type(self.backend).__name__,
                 )
-        cache = self._cache_for(packet.topic)
-        for reading in readings:
-            cache.store(reading)
+        self._cache_for(packet.topic).store_many(readings)
         self._readings_stored.inc(len(readings))
 
     def _on_metadata(self, client_id: str, packet: Publish) -> None:

@@ -54,7 +54,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from repro.common.errors import BackpressureError, ConfigError
+from repro.common.errors import BackpressureError, ConfigError, WriterStoppedError
 from repro.observability import MetricsRegistry, SpanRecorder
 from repro.observability.spans import default_recorder, trace_context
 from repro.storage.backend import InsertItem, StorageBackend
@@ -261,7 +261,7 @@ class BatchingWriter:
 
         Readings staged before ``stop()`` is called are flushed to the
         backend before this method returns; producers blocked in
-        ``put()`` are woken with :class:`BackpressureError`.
+        ``put()`` are woken with :class:`WriterStoppedError`.
         """
         with self._lock:
             self._stopping = True
@@ -293,7 +293,7 @@ class BatchingWriter:
         capacity = self.config.queue_capacity
         with self._lock:
             if self._stopping:
-                raise BackpressureError("batching writer is stopped")
+                raise WriterStoppedError("batching writer is stopped")
             if self._depth + count > capacity:
                 policy = self.config.policy
                 if policy == "error":
@@ -304,7 +304,7 @@ class BatchingWriter:
                     while self._depth + count > capacity and not self._stopping:
                         self._not_full.wait()
                     if self._stopping:
-                        raise BackpressureError("batching writer stopped while blocked")
+                        raise WriterStoppedError("batching writer stopped while blocked")
                 else:  # drop-oldest
                     while self._depth + count > capacity and self._entries:
                         old_items = self._entries.popleft()[0]

@@ -21,7 +21,7 @@ all sensors ... configurable in size").
 from __future__ import annotations
 
 import threading
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 
 from repro.common.timeutil import NS_PER_SEC
@@ -76,6 +76,10 @@ class SensorMetadata:
         return int(round(value * self.scale))
 
 
+#: Bytes one cached reading occupies: an int64 timestamp and value.
+_READING_BYTES = 16
+
+
 class SensorCache:
     """Time-bounded cache of the latest readings of one sensor.
 
@@ -84,39 +88,70 @@ class SensorCache:
     evaluation setup ("a sensor cache size of two minutes",
     section 6.1).  Thread-safe: the sampling thread appends while REST
     handlers snapshot.
+
+    Readings live in two packed ``array('q')`` columns (16 bytes per
+    reading) behind a head index: eviction only advances the head, and
+    the dead prefix is cut once the head passes half the buffer.
+    :class:`SensorReading` objects are built only when read back.
     """
 
-    __slots__ = ("maxage_ns", "_readings", "_lock")
+    __slots__ = ("maxage_ns", "_ts", "_vals", "_head", "_lock")
 
     def __init__(self, maxage_ns: int = 120 * NS_PER_SEC) -> None:
         if maxage_ns <= 0:
             raise ValueError("cache max age must be positive")
         self.maxage_ns = maxage_ns
-        self._readings: deque[SensorReading] = deque()
+        self._ts = array("q")
+        self._vals = array("q")
+        self._head = 0
         self._lock = threading.Lock()
 
     def store(self, reading: SensorReading) -> None:
         """Insert a reading and evict entries older than the window."""
+        self.store_many((reading,))
+
+    def store_many(self, readings) -> None:
+        """:meth:`store` each reading in order, under one lock acquisition."""
+        maxage = self.maxage_ns
         with self._lock:
-            self._readings.append(reading)
-            horizon = reading.timestamp - self.maxage_ns
-            while self._readings and self._readings[0].timestamp < horizon:
-                self._readings.popleft()
+            ts = self._ts
+            vals = self._vals
+            head = self._head
+            for reading in readings:
+                timestamp = reading.timestamp
+                ts.append(timestamp)
+                vals.append(reading.value)
+                horizon = timestamp - maxage
+                while ts[head] < horizon:
+                    head += 1
+            if head > len(ts) >> 1:
+                del ts[:head]
+                del vals[:head]
+                head = 0
+            self._head = head
 
     def latest(self) -> SensorReading | None:
         """Most recent reading, or None when empty."""
         with self._lock:
-            return self._readings[-1] if self._readings else None
+            if self._head == len(self._ts):
+                return None
+            return SensorReading(self._ts[-1], self._vals[-1])
 
     def snapshot(self) -> list[SensorReading]:
         """A copy of all cached readings, oldest first."""
         with self._lock:
-            return list(self._readings)
+            head = self._head
+            return list(map(SensorReading, self._ts[head:], self._vals[head:]))
 
     def view(self, start_ns: int, end_ns: int) -> list[SensorReading]:
         """Cached readings with start <= timestamp <= end."""
         with self._lock:
-            return [r for r in self._readings if start_ns <= r.timestamp <= end_ns]
+            head = self._head
+            return [
+                SensorReading(t, v)
+                for t, v in zip(self._ts[head:], self._vals[head:])
+                if start_ns <= t <= end_ns
+            ]
 
     def average(self, window_ns: int | None = None) -> float | None:
         """Mean raw value over the trailing ``window_ns`` (or all).
@@ -125,33 +160,36 @@ class SensorCache:
         stable recent value rather than the instantaneous sample.
         """
         with self._lock:
-            if not self._readings:
+            head = self._head
+            if head == len(self._ts):
                 return None
             if window_ns is None:
-                items = self._readings
+                items = self._vals[head:]
             else:
-                horizon = self._readings[-1].timestamp - window_ns
-                items = [r for r in self._readings if r.timestamp >= horizon]
+                horizon = self._ts[-1] - window_ns
+                items = [
+                    v for t, v in zip(self._ts[head:], self._vals[head:]) if t >= horizon
+                ]
             if not items:
                 return None
-            return sum(r.value for r in items) / len(items)
+            return sum(items) / len(items)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._readings)
+            return len(self._ts) - self._head
 
     def clear(self) -> None:
         with self._lock:
-            self._readings.clear()
+            self._ts = array("q")
+            self._vals = array("q")
+            self._head = 0
 
     @property
     def memory_bytes(self) -> int:
-        """Approximate memory footprint of the cached readings.
+        """Memory held by the cached readings: two int64 columns.
 
-        Used by the resource-footprint model (paper Figure 6b ties
-        Pusher memory to cache contents: interval x sensor count).
+        The resource-footprint model (paper Figure 6b ties Pusher
+        memory to cache contents: interval x sensor count) keeps its
+        own per-reading constant; this is the measured footprint.
         """
-        # One SensorReading: two Python ints + object overhead; the
-        # constant matches sys.getsizeof measurements on CPython 3.11.
-        with self._lock:
-            return 120 * len(self._readings)
+        return _READING_BYTES * len(self)

@@ -51,13 +51,10 @@ _M64 = (1 << 64) - 1
 _U0 = np.uint64(0)
 _U1 = np.uint64(1)
 
-#: Bits one delta-of-delta token occupies, per bucket (control+payload).
-_DOD_TOKEN_BITS = np.array([1, 9, 19, 36, 72], dtype=np.int64)
-
 #: Cap on the rows × width temporary matrices the bit scatter/gather
-#: helpers materialize at once (keeps peak memory bounded for huge
-#: adversarial blocks without touching the common-case fast path).
-_CHUNK_ROWS = 1 << 16
+#: helpers materialize at once (keeps peak memory bounded for long
+#: concatenated columns without touching the common-case fast path).
+_CHUNK_BITS = 1 << 20
 
 
 class BitWriter:
@@ -135,9 +132,10 @@ def _scatter_bits(bits: np.ndarray, offsets: np.ndarray, values: np.ndarray, wid
         return
     span = np.arange(width, dtype=np.int64)
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    for at in range(0, offsets.size, _CHUNK_ROWS):
-        off = offsets[at : at + _CHUNK_ROWS]
-        val = values[at : at + _CHUNK_ROWS]
+    step = max(1, _CHUNK_BITS // width)
+    for at in range(0, offsets.size, step):
+        off = offsets[at : at + step]
+        val = values[at : at + step]
         bits[off[:, None] + span[None, :]] = (
             (val[:, None] >> shifts[None, :]) & _U1
         ).astype(np.uint8)
@@ -148,8 +146,9 @@ def _gather_bits(bits: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarra
     span = np.arange(width, dtype=np.int64)
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     out = np.empty(offsets.size, dtype=np.uint64)
-    for at in range(0, offsets.size, _CHUNK_ROWS):
-        off = offsets[at : at + _CHUNK_ROWS]
+    step = max(1, _CHUNK_BITS // width)
+    for at in range(0, offsets.size, step):
+        off = offsets[at : at + step]
         chunk = bits[off[:, None] + span[None, :]].astype(np.uint64)
         out[at : at + off.size] = (chunk << shifts[None, :]).sum(
             axis=1, dtype=np.uint64
@@ -177,67 +176,128 @@ def _small_int(bb: bytes, off: int, width: int) -> int:
     return value
 
 
+# -- segmented layout -----------------------------------------------------
+#
+# A segment file holds one block per sensor, and a memtable seal writes
+# thousands of 10-20 row blocks.  Both encoders therefore take many
+# sensors' columns concatenated, plus row ``offsets``, and run every
+# kernel once over the concatenation.  Per-block state resets at each
+# offset: the segment's first row is a raw 64-bit head (with a previous
+# delta of zero), the XOR window starts fresh, and each block is
+# zero-padded to a byte boundary — so every block is byte-identical to
+# encoding it alone.  The single-column call is the one-segment case of
+# the same kernels.
+
+
+def _segment_bounds(offsets, n: int) -> np.ndarray:
+    """Row bounds ``[0, ..., n]`` of the segments to encode."""
+    if offsets is None:
+        return np.array([0, n], dtype=np.int64)
+    bounds = np.asarray(offsets, dtype=np.int64)
+    if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n or (np.diff(bounds) < 0).any():
+        raise ValueError("offsets must rise from 0 to the column length")
+    return bounds
+
+
+def _head_rows(bounds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First row of every non-empty segment, as indices and as a mask."""
+    starts = bounds[:-1]
+    heads = starts[starts < bounds[1:]]
+    is_head = np.zeros(n, dtype=bool)
+    is_head[heads] = True
+    return heads, is_head
+
+
+def _layout(bounds: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Place every row's token (``widths[i]`` bits) in the bit stream.
+
+    Returns each row's bit offset, the total bit count, and the byte
+    bounds of every segment's block (segments start byte-aligned).
+    """
+    cum = np.zeros(widths.size + 1, dtype=np.int64)
+    np.cumsum(widths, out=cum[1:])
+    starts = cum[bounds[:-1]]
+    padded = (cum[bounds[1:]] - starts + 7) & ~7
+    block_at = np.zeros(bounds.size, dtype=np.int64)
+    np.cumsum(padded, out=block_at[1:])
+    offsets = cum[:-1] + np.repeat(block_at[:-1] - starts, np.diff(bounds))
+    return offsets, int(block_at[-1]), block_at >> 3
+
+
+def _blocks(bits: np.ndarray, byte_bounds: np.ndarray, single: bool):
+    """Pack the bit stream; split it into per-segment blocks."""
+    data = np.packbits(bits).tobytes()
+    if single:
+        return data
+    bb = byte_bounds.tolist()
+    return [data[a:b] for a, b in zip(bb[:-1], bb[1:])]
+
+
 # -- delta-of-delta timestamp codec ---------------------------------------
 
+#: Bit width per token kind: the four delta-of-delta buckets
+#: (control+payload), the 68-bit escape, and a segment's raw head.
+_DOD_TOKEN_BITS = np.array([1, 9, 19, 36, 72, 64], dtype=np.int64)
+_DOD_HEAD = 5
 
-def encode_timestamps(values) -> bytes:
+
+def encode_timestamps(values, offsets=None):
     """Delta-of-delta encode an int64 column (timestamps, expiries).
 
     Bucket codes: ``0`` dod=0; ``10``+7 bits; ``110``+16; ``1110``+32;
     ``1111``+68 (zigzag; 68 bits covers the worst-case second
     difference of two int64 extremes).
+
+    Without ``offsets`` returns one block.  With ``offsets`` (row
+    bounds ``[0, n0, n0+n1, ..., len]``) returns one block per segment
+    ``values[offsets[j]:offsets[j+1]]``, each identical to encoding
+    that segment alone.
     """
     ts = _as_i64_column(values)
+    bounds = _segment_bounds(offsets, ts.size)
     n = int(ts.size)
-    if n == 0:
-        return b""
-    head = int(ts[0]) & _M64
-    if n == 1:
-        return head.to_bytes(8, "big")
+    heads, is_head = _head_rows(bounds, n)
     u = ts.view(np.uint64)
-    m = n - 1
     # True deltas are 65-bit quantities: carry the wrapped int64 value
-    # plus a ±2^64 correction term so classification stays exact.
-    a, b = ts[1:], ts[:-1]
-    d = (u[1:] - u[:-1]).view(np.int64)
-    ovf = ((a < 0) != (b < 0)) & ((d < 0) != (a < 0))
-    c = np.where(a >= 0, 1, -1) * ovf
-    sd = np.empty(m, dtype=np.int64)
-    sd[0] = d[0]
-    du = d.view(np.uint64)
-    sd[1:] = (du[1:] - du[:-1]).view(np.int64)
-    k = np.empty(m, dtype=np.int64)
-    k[0] = c[0]
-    ovf2 = ((d[1:] < 0) != (d[:-1] < 0)) & ((sd[1:] < 0) != (d[1:] < 0))
-    k[1:] = np.where(d[1:] >= 0, 1, -1) * ovf2 + c[1:] - c[:-1]
+    # plus a ±2^64 correction term so classification stays exact.  A
+    # head row has delta 0, so its segment's first token sees a
+    # previous delta of 0.
+    d = np.zeros(n, dtype=np.int64)
+    c = np.zeros(n, dtype=np.int64)
+    if n > 1:
+        a, b = ts[1:], ts[:-1]
+        d[1:] = (u[1:] - u[:-1]).view(np.int64)
+        ovf = ((a < 0) != (b < 0)) & ((d[1:] < 0) != (a < 0))
+        c[1:] = np.where(a >= 0, 1, -1) * ovf
+        d[is_head] = 0
+        c[is_head] = 0
+    dp = np.zeros(n, dtype=np.int64)
+    cp = np.zeros(n, dtype=np.int64)
+    dp[1:] = d[:-1]
+    cp[1:] = c[:-1]
+    sd = (d.view(np.uint64) - dp.view(np.uint64)).view(np.int64)
+    ovf2 = ((d < 0) != (dp < 0)) & ((sd < 0) != (d < 0))
+    k = np.where(d >= 0, 1, -1) * ovf2 + c - cp
     # dod_i = sd_i + (k_i << 64); k != 0 always lands in the 68-bit
     # bucket because |dod| >= 2^63 then.
     zz = (sd.view(np.uint64) << _U1) ^ np.right_shift(sd, 63).view(np.uint64)
-    bucket = np.full(m, 4, dtype=np.uint8)
-    small = k == 0
-    cls_small = np.where(
+    bucket = np.where(
         sd == 0,
         0,
         np.where(zz < 128, 1, np.where(zz < (1 << 16), 2, np.where(zz < (1 << 32), 3, 4))),
     ).astype(np.uint8)
-    bucket[small] = cls_small[small]
+    bucket[k != 0] = 4
+    bucket[heads] = _DOD_HEAD
 
-    widths = _DOD_TOKEN_BITS[bucket]
-    ends = np.cumsum(widths)
-    offsets = np.empty(m, dtype=np.int64)
-    offsets[0] = 64
-    offsets[1:] = 64 + ends[:-1]
-    total = 64 + int(ends[-1])
+    offsets_b, total, byte_bounds = _layout(bounds, _DOD_TOKEN_BITS[bucket])
     bits = np.zeros(total, dtype=np.uint8)
-    _scatter_bits(
-        bits, np.zeros(1, dtype=np.int64), np.array([head], dtype=np.uint64), 64
-    )
+    _scatter_bits(bits, offsets_b[heads], u[heads], 64)
     # Bucket 0 is the single '0' bit — already zeroed.
     for cls, ctl, pay in ((1, 0b10, 7), (2, 0b110, 16), (3, 0b1110, 32)):
         idx = np.flatnonzero(bucket == cls)
         if idx.size:
             vals = np.uint64(ctl << pay) | zz[idx]
-            _scatter_bits(bits, offsets[idx], vals, 2 + pay if cls == 1 else (3 + pay if cls == 2 else 4 + pay))
+            _scatter_bits(bits, offsets_b[idx], vals, ctl.bit_length() + pay)
     idx4 = np.flatnonzero(bucket == 4)
     if idx4.size:
         hi = np.empty(idx4.size, dtype=np.uint64)
@@ -247,9 +307,9 @@ def encode_timestamps(values) -> bytes:
             z = (dod << 1) ^ (dod >> 127)
             hi[i] = (0b1111 << 4) | (z >> 64)
             lo[i] = z & _M64
-        _scatter_bits(bits, offsets[idx4], hi, 8)
-        _scatter_bits(bits, offsets[idx4] + 8, lo, 64)
-    return np.packbits(bits).tobytes()
+        _scatter_bits(bits, offsets_b[idx4], hi, 8)
+        _scatter_bits(bits, offsets_b[idx4] + 8, lo, 64)
+    return _blocks(bits, byte_bounds, offsets is None)
 
 
 def decode_timestamps(data, count: int) -> np.ndarray:
@@ -328,70 +388,63 @@ def decode_timestamps(data, count: int) -> np.ndarray:
 # -- Gorilla XOR value codec ----------------------------------------------
 
 
-def encode_values(values) -> bytes:
+def encode_values(values, offsets=None):
     """Gorilla-style XOR encode an int64 value column.
 
     Per value: ``0`` if the XOR with the previous value is zero;
     ``10`` + meaningful bits reusing the previous leading/trailing-zero
     window; ``11`` + 6-bit leading count + 6-bit (length-1) + bits for
     a fresh window.
+
+    ``offsets`` segments the column exactly as for
+    :func:`encode_timestamps`; each segment's window starts fresh.
     """
     vals = _as_i64_column(values)
+    bounds = _segment_bounds(offsets, vals.size)
     n = int(vals.size)
-    if n == 0:
-        return b""
+    heads, is_head = _head_rows(bounds, n)
     u = vals.view(np.uint64)
-    head = int(u[0])
-    if n == 1:
-        return head.to_bytes(8, "big")
-    x = u[1:] ^ u[:-1]
-    m = n - 1
+    x = np.zeros(n, dtype=np.uint64)
+    if n > 1:
+        x[1:] = u[1:] ^ u[:-1]
+        x[heads] = 0
     nz_idx = np.flatnonzero(x)
-    widths = np.ones(m, dtype=np.int64)
-    kind = win = sh = lead_v = None
+    widths = np.ones(n, dtype=np.int64)
+    widths[heads] = 64
     if nz_idx.size:
         xs = x[nz_idx]
-        bl = _bit_length_u64(xs)
-        lead_v = 64 - bl
+        lead_v = 64 - _bit_length_u64(xs)
         tz = _bit_length_u64(xs & (_U0 - xs)) - 1
         # The window state machine is inherently sequential, but only
-        # over rows whose XOR is non-zero — everything around it
-        # (leading/trailing-zero counts, payload shifts, bit packing)
-        # is vectorized.
-        kind_l: list[bool] = []
-        win_l: list[int] = []
-        sh_l: list[int] = []
-        lead_s = -1
-        trail_s = 0
-        win_s = 0
-        for l, t in zip(lead_v.tolist(), tz.tolist()):
-            if lead_s >= 0 and l >= lead_s and t >= trail_s:
-                kind_l.append(False)
-                win_l.append(win_s)
-                sh_l.append(trail_s)
-            else:
+        # over rows whose XOR is non-zero, and it only decides which
+        # rows open a fresh window — everything around it (zero
+        # counts, window widths, payload shifts, bit packing) is
+        # vectorized.  A segment's first non-zero row always opens one.
+        seg = np.cumsum(is_head)[nz_idx]
+        first = np.ones(nz_idx.size, dtype=bool)
+        first[1:] = seg[1:] != seg[:-1]
+        fresh_l: list[bool] = []
+        fresh = fresh_l.append
+        lead_s = trail_s = 0
+        for l, t, f in zip(lead_v.tolist(), tz.tolist(), first.tolist()):
+            if f or l < lead_s or t < trail_s:
                 lead_s = l
                 trail_s = t
-                win_s = 64 - l - t
-                kind_l.append(True)
-                win_l.append(win_s)
-                sh_l.append(t)
-        kind = np.array(kind_l, dtype=bool)
-        win = np.array(win_l, dtype=np.int64)
-        sh = np.array(sh_l, dtype=np.uint64)
+                fresh(True)
+            else:
+                fresh(False)
+        kind = np.array(fresh_l, dtype=bool)
+        # Every row uses the window of the latest fresh row at or before it.
+        opener = np.maximum.accumulate(np.where(kind, np.arange(kind.size), 0))
+        sh = tz[opener].astype(np.uint64)
+        win = 64 - lead_v[opener] - tz[opener]
         widths[nz_idx] = np.where(kind, 14 + win, 2 + win)
-    ends = np.cumsum(widths)
-    offsets = np.empty(m, dtype=np.int64)
-    offsets[0] = 64
-    offsets[1:] = 64 + ends[:-1]
-    total = 64 + int(ends[-1])
+    offsets_b, total, byte_bounds = _layout(bounds, widths)
     bits = np.zeros(total, dtype=np.uint8)
-    _scatter_bits(
-        bits, np.zeros(1, dtype=np.int64), np.array([head], dtype=np.uint64), 64
-    )
+    _scatter_bits(bits, offsets_b[heads], u[heads], 64)
     if nz_idx.size:
-        payload = x[nz_idx] >> sh
-        off_nz = offsets[nz_idx]
+        payload = xs >> sh
+        off_nz = offsets_b[nz_idx]
         reuse = ~kind
         if reuse.any():
             _scatter_bits(
@@ -411,7 +464,7 @@ def encode_values(values) -> bytes:
         for w in np.unique(win):
             sel = win == w
             _scatter_bits(bits, pay_off[sel], payload[sel], int(w))
-    return np.packbits(bits).tobytes()
+    return _blocks(bits, byte_bounds, offsets is None)
 
 
 def decode_values(data, count: int) -> np.ndarray:

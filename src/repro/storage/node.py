@@ -23,8 +23,8 @@ keep it when changing the merge paths.
 
 from __future__ import annotations
 
-import itertools
 import threading
+from array import array
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -103,13 +103,31 @@ class _Segment:
         return ts[live], vals[live]
 
 
+#: One "never expires" expiry, repeated to fill TTL-free rows.
+_NEVER = array("q", [_INT64_MAX])
+
+
+def _column() -> array:
+    return array("q")
+
+
+def _frozen(column: array) -> np.ndarray:
+    """A NumPy copy of one memtable column (one buffer copy)."""
+    return np.frombuffer(column, dtype=np.int64).copy()
+
+
 @dataclass(slots=True)
 class _SensorData:
-    """Per-sensor storage state: live memtable rows plus segments."""
+    """Per-sensor storage state: live memtable rows plus segments.
 
-    mem_ts: list[int] = field(default_factory=list)
-    mem_val: list[int] = field(default_factory=list)
-    mem_exp: list[int] = field(default_factory=list)
+    The memtable columns are packed ``array('q')`` buffers — 8 bytes a
+    row instead of a list slot and a boxed int — so freezing or staging
+    them is one buffer copy into NumPy.
+    """
+
+    mem_ts: array = field(default_factory=_column)
+    mem_val: array = field(default_factory=_column)
+    mem_exp: array = field(default_factory=_column)
     segments: list[_Segment] = field(default_factory=list)
 
 
@@ -209,10 +227,11 @@ class StorageNode:
     def insert_batch(self, items) -> int:
         """Bulk append; one lock acquisition for the whole batch.
 
-        The batch is decomposed into per-sensor columns *outside* the
-        lock (C-level ``zip``/``itertools`` where possible) and the
-        memtable columns are extended in bulk, so the lock hold time
-        and the per-row Python overhead both shrink with batch size.
+        The batch is decomposed into per-sensor column lists *outside*
+        the lock (C-level ``zip`` where possible) and the memtable
+        columns are extended in bulk (``array.fromlist``), so the lock
+        hold time and the per-row Python overhead both shrink with
+        batch size.
         """
         if not isinstance(items, list):
             items = list(items)
@@ -220,18 +239,21 @@ class StorageNode:
         if count == 0:
             return 0
         sids, timestamps, values, ttls = zip(*items)
+        # Without TTLs (the common case) every expiry is "never": that
+        # column is filled by repeating one array item, not by
+        # converting a Python int per row.
+        no_ttl = max(ttls) <= 0
         if len(set(sids)) == 1:
             # Single-sensor batch (one MQTT message, one bulk import):
             # three column extends, no per-row Python loop at all when
             # the TTLs need no arithmetic.
-            if max(ttls) <= 0:
-                expiries = itertools.repeat(_INT64_MAX, count)
-            else:
+            expiries = None
+            if not no_ttl:
                 expiries = [
                     _INT64_MAX if ttl <= 0 else t + ttl * 1_000_000_000
                     for t, ttl in zip(timestamps, ttls)
                 ]
-            columns = {sids[0]: (timestamps, values, expiries)}
+            columns = {sids[0]: (list(timestamps), list(values), expiries)}
         else:
             # Mixed-sensor batch (cross-message coalescing): one
             # grouping pass, then bulk extends per sensor.
@@ -239,13 +261,14 @@ class StorageNode:
             for sid, timestamp, value, ttl_s in items:
                 cols = columns.get(sid)
                 if cols is None:
-                    cols = ([], [], [])
+                    cols = ([], [], None if no_ttl else [])
                     columns[sid] = cols
                 cols[0].append(timestamp)
                 cols[1].append(value)
-                cols[2].append(
-                    _INT64_MAX if ttl_s <= 0 else timestamp + ttl_s * 1_000_000_000
-                )
+                if not no_ttl:
+                    cols[2].append(
+                        _INT64_MAX if ttl_s <= 0 else timestamp + ttl_s * 1_000_000_000
+                    )
         with self._lock:
             for sid, (col_ts, col_val, col_exp) in columns.items():
                 data = self._data.get(sid)
@@ -253,9 +276,12 @@ class StorageNode:
                     data = _SensorData()
                     self._data[sid] = data
                     self._sids_cache = None
-                data.mem_ts.extend(col_ts)
-                data.mem_val.extend(col_val)
-                data.mem_exp.extend(col_exp)
+                data.mem_ts.fromlist(col_ts)
+                data.mem_val.fromlist(col_val)
+                if col_exp is None:
+                    data.mem_exp.extend(_NEVER * len(col_ts))
+                else:
+                    data.mem_exp.fromlist(col_exp)
             self._memtable_rows += count
             self._inserts.inc(count)
             if self._memtable_rows >= self.flush_threshold:
@@ -272,9 +298,9 @@ class StorageNode:
         for sid, data in self._data.items():
             if not data.mem_ts:
                 continue
-            ts = np.asarray(data.mem_ts, dtype=np.int64)
-            vals = np.asarray(data.mem_val, dtype=np.int64)
-            exp = np.asarray(data.mem_exp, dtype=np.int64)
+            ts = _frozen(data.mem_ts)
+            vals = _frozen(data.mem_val)
+            exp = _frozen(data.mem_exp)
             order = np.argsort(ts, kind="stable")
             ts, vals, exp = ts[order], vals[order], exp[order]
             # Deduplicate duplicate timestamps last-write-wins at freeze
@@ -290,9 +316,9 @@ class StorageNode:
                 if not keep.all():
                     ts, vals, exp = ts[keep], vals[keep], exp[keep]
             segment = _Segment(ts, vals, exp)
-            data.mem_ts.clear()
-            data.mem_val.clear()
-            data.mem_exp.clear()
+            data.mem_ts = _column()
+            data.mem_val = _column()
+            data.mem_exp = _column()
             data.segments.append(segment)
             frozen[sid] = segment
         self._memtable_rows = 0
@@ -358,7 +384,7 @@ class StorageNode:
 
         Segments are immutable, so overlapping ones are captured by
         reference after min/max pruning; memtable columns (mutable
-        lists) are frozen into arrays.  Returns ``(segments, memtable
+        buffers) are copied into arrays.  Returns ``(segments, memtable
         snapshot or None, segments pruned)`` — the expensive slicing
         and merging then happens outside the lock.
 
@@ -370,11 +396,7 @@ class StorageNode:
         pruned = len(data.segments) - len(segments)
         mem = None
         if data.mem_ts:
-            mem = (
-                np.asarray(data.mem_ts, dtype=np.int64),
-                np.asarray(data.mem_val, dtype=np.int64),
-                np.asarray(data.mem_exp, dtype=np.int64),
-            )
+            mem = (_frozen(data.mem_ts), _frozen(data.mem_val), _frozen(data.mem_exp))
         return segments, mem, pruned
 
     @staticmethod
@@ -533,16 +555,16 @@ class StorageNode:
             if data is None:
                 return 0
             if data.mem_ts:
-                mts = np.asarray(data.mem_ts, dtype=np.int64)
+                mts = np.frombuffer(data.mem_ts, dtype=np.int64)
                 keep = mts >= cutoff
                 dropped = int(keep.size) - int(keep.sum())
                 if dropped:
                     removed += dropped
-                    mvals = np.asarray(data.mem_val, dtype=np.int64)
-                    mexp = np.asarray(data.mem_exp, dtype=np.int64)
-                    data.mem_ts = mts[keep].tolist()
-                    data.mem_val = mvals[keep].tolist()
-                    data.mem_exp = mexp[keep].tolist()
+                    mvals = np.frombuffer(data.mem_val, dtype=np.int64)
+                    mexp = np.frombuffer(data.mem_exp, dtype=np.int64)
+                    data.mem_ts = array("q", mts[keep].tobytes())
+                    data.mem_val = array("q", mvals[keep].tobytes())
+                    data.mem_exp = array("q", mexp[keep].tobytes())
             new_segments = []
             for seg in data.segments:
                 mask = seg.timestamps >= cutoff

@@ -1,8 +1,10 @@
 """Tests for the Collect Agent ingest path."""
 
+import logging
+
 from repro.common.timeutil import NS_PER_SEC
 from repro.core import payload as payload_mod
-from repro.core.collectagent import CollectAgent
+from repro.core.collectagent import CollectAgent, WriterConfig
 from repro.core.sensor import SensorReading
 from repro.mqtt.inproc import InProcClient, InProcHub
 from repro.storage import MemoryBackend
@@ -116,3 +118,36 @@ class TestStatus:
         assert status["knownSensors"] == 2
         assert status["messagesReceived"] == 2
         assert status["decodeErrors"] == 0
+
+
+class TestWriterStoppedDrops:
+    """Readings refused by a stopped writer are not "queue full" drops."""
+
+    def make_stopped(self):
+        hub = InProcHub(allow_subscribe=False)
+        agent = CollectAgent(MemoryBackend(), broker=hub, writer_config=WriterConfig())
+        agent.start()
+        agent.writer.stop()
+        client = InProcClient("pusher", hub)
+        client.connect()
+        return agent, client
+
+    def test_counted_apart_from_backpressure(self):
+        agent, client = self.make_stopped()
+        client.publish("/s/a", payload_mod.encode_readings([SensorReading(1, 1), SensorReading(2, 2)]))
+        client.publish("/s/a", payload_mod.encode_reading(3, 3))
+        assert agent.metrics.value("dcdb_agent_writer_stopped_drops_total") == 3
+        assert agent.metrics.value("dcdb_agent_backpressure_drops_total") == 0
+        assert agent.readings_stored == 0
+
+    def test_log_line_rate_limited_with_suppressed_count(self, caplog):
+        agent, client = self.make_stopped()
+        with caplog.at_level(logging.WARNING, logger="repro.core.collectagent.agent"):
+            for t in range(5):
+                client.publish("/s/a", payload_mod.encode_reading(t, t))
+            agent._writer_stopped_log._next = float("-inf")
+            client.publish("/s/a", payload_mod.encode_reading(9, 9))
+        lines = [r.getMessage() for r in caplog.records if "dropped readings" in r.message]
+        assert len(lines) == 2
+        assert "suppressed" not in lines[0]
+        assert "(4 similar suppressed)" in lines[1]

@@ -104,3 +104,100 @@ class TestSensorCache:
         assert all(newest - r.timestamp <= 1000 for r in readings)
         # The newest reading always survives.
         assert readings[-1].timestamp == max(timestamps)
+
+
+class _DequeCache:
+    """Reference model: the original deque-of-readings cache."""
+
+    def __init__(self, maxage_ns):
+        from collections import deque
+
+        self.maxage_ns = maxage_ns
+        self.readings = deque()
+
+    def store(self, reading):
+        self.readings.append(reading)
+        horizon = reading.timestamp - self.maxage_ns
+        while self.readings and self.readings[0].timestamp < horizon:
+            self.readings.popleft()
+
+    def average(self, window_ns):
+        if not self.readings:
+            return None
+        if window_ns is None:
+            items = list(self.readings)
+        else:
+            horizon = self.readings[-1].timestamp - window_ns
+            items = [r for r in self.readings if r.timestamp >= horizon]
+        return sum(r.value for r in items) / len(items) if items else None
+
+
+_readings = st.lists(
+    st.builds(
+        SensorReading,
+        st.integers(min_value=0, max_value=200),
+        st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+    ),
+    min_size=1,
+    max_size=8,
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), _readings),
+        st.tuples(st.just("store_many"), _readings),
+        st.tuples(st.just("view"), st.tuples(st.integers(-10, 210), st.integers(-10, 210))),
+        st.tuples(st.just("average"), st.one_of(st.none(), st.integers(0, 120))),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    max_size=60,
+)
+
+
+class TestColumnarCacheModel:
+    """The columnar cache behaves exactly like a deque of readings."""
+
+    @given(maxage=st.integers(min_value=1, max_value=60), ops=_ops)
+    def test_matches_deque_reference(self, maxage, ops):
+        cache = SensorCache(maxage_ns=maxage)
+        model = _DequeCache(maxage)
+        for op, arg in ops:
+            if op == "store":
+                for reading in arg:
+                    cache.store(reading)
+                    model.store(reading)
+            elif op == "store_many":
+                cache.store_many(arg)
+                for reading in arg:
+                    model.store(reading)
+            elif op == "view":
+                lo, hi = arg
+                expected = [r for r in model.readings if lo <= r.timestamp <= hi]
+                assert cache.view(lo, hi) == expected
+            elif op == "average":
+                assert cache.average(arg) == model.average(arg)
+            else:
+                cache.clear()
+                model.readings.clear()
+            assert cache.snapshot() == list(model.readings)
+            assert len(cache) == len(model.readings)
+            assert cache.latest() == (model.readings[-1] if model.readings else None)
+            assert cache.memory_bytes == 16 * len(model.readings)
+
+    def test_head_trim_keeps_window(self):
+        cache = SensorCache(maxage_ns=10)
+        for t in range(1000):
+            cache.store(SensorReading(t, t))
+        assert [r.timestamp for r in cache.snapshot()] == list(range(989, 1000))
+        # The evicted prefix is cut, not just skipped over.
+        assert len(cache._ts) < 2 * len(cache)
+
+    def test_out_of_order_reading_evicts_by_its_own_timestamp(self):
+        cache = SensorCache(maxage_ns=5)
+        cache.store_many([SensorReading(100, 1), SensorReading(90, 2), SensorReading(101, 3)])
+        # Eviction only looks at the front: 100 is inside 101's window
+        # (horizon 96), so the older 90 queued behind it stays too.
+        assert cache.snapshot() == [
+            SensorReading(100, 1),
+            SensorReading(90, 2),
+            SensorReading(101, 3),
+        ]
